@@ -47,12 +47,13 @@ use crate::serve::wire::{Dec, Enc, WireError};
 use pscp_statechart::semantics::ControlState;
 use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// Version prefix of the canonical state encoding; bumped when the
 /// layout changes.
-pub const STATE_KEY_VERSION: u8 = 1;
+pub const STATE_KEY_VERSION: u8 = 2;
 
 // --- FNV dedup hashing -------------------------------------------------------
 
@@ -96,6 +97,12 @@ impl BuildHasher for BuildFnv {
 
 // --- Canonical state encoding ------------------------------------------------
 
+/// Largest register file or RAM plane a state key may declare, in
+/// words. TEP addresses are 16 bits wide, so no architecture has a
+/// larger plane; [`decode_state`] rejects a larger declared length
+/// before allocating anything sized by it.
+pub const MAX_PLANE_WORDS: u32 = 1 << 16;
+
 fn enc_bitmap(e: &mut Enc, bits: &[bool]) {
     e.u32(bits.len() as u32);
     let mut byte = 0u8;
@@ -116,32 +123,81 @@ fn enc_bitmap(e: &mut Enc, bits: &[bool]) {
 fn dec_bitmap(d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
     let n = d.u32()? as usize;
     let bytes = d.take(n.div_ceil(8))?;
+    if !n.is_multiple_of(8) && bytes[n / 8] >> (n % 8) != 0 {
+        return Err(WireError::Malformed("nonzero bitmap padding"));
+    }
     Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
-fn enc_i64s(e: &mut Enc, vs: &[i64]) {
-    e.u32(vs.len() as u32);
-    for &v in vs {
-        e.i64(v);
+/// Sparse memory plane: `u32 len`, `u32 nonzero_count`, then one
+/// `(u32 index, i64 value)` pair per nonzero word in ascending index
+/// order. Written in one pass; the count is patched in afterwards.
+fn enc_plane(e: &mut Enc, words: &[i64]) {
+    debug_assert!(words.len() <= MAX_PLANE_WORDS as usize);
+    e.u32(words.len() as u32);
+    let count_at = e.buf.len();
+    e.u32(0);
+    let mut count = 0u32;
+    // RAM planes are almost entirely zero, so whole zero chunks are
+    // skipped with one branch; the OR over a fixed-size chunk
+    // vectorises.
+    const CHUNK: usize = 32;
+    for (c, chunk) in words.chunks(CHUNK).enumerate() {
+        let any = match <&[i64; CHUNK]>::try_from(chunk) {
+            Ok(full) => full.iter().fold(0, |any, &v| any | v),
+            Err(_) => chunk.iter().fold(0, |any, &v| any | v),
+        };
+        if any == 0 {
+            continue;
+        }
+        for (j, &v) in chunk.iter().enumerate() {
+            if v != 0 {
+                e.u32((c * CHUNK + j) as u32);
+                e.i64(v);
+                count += 1;
+            }
+        }
     }
+    e.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-fn dec_i64s(d: &mut Dec<'_>) -> Result<Vec<i64>, WireError> {
-    let n = d.count(8)?;
-    let mut vs = Vec::with_capacity(n);
-    for _ in 0..n {
-        vs.push(d.i64()?);
+/// Decodes a sparse plane, accepting only the canonical form that
+/// [`enc_plane`] writes — so every accepted key re-encodes to itself.
+fn dec_plane(d: &mut Dec<'_>) -> Result<Vec<i64>, WireError> {
+    let len = d.u32()?;
+    if len > MAX_PLANE_WORDS {
+        return Err(WireError::TooLarge { len: u64::from(len), max: MAX_PLANE_WORDS });
     }
-    Ok(vs)
+    let count = d.count(12)?;
+    let mut words = vec![0; len as usize];
+    let mut next = 0;
+    for _ in 0..count {
+        let i = d.u32()? as usize;
+        if i >= words.len() {
+            return Err(WireError::Malformed("memory index out of range"));
+        }
+        if i < next {
+            return Err(WireError::Malformed("memory indices not ascending"));
+        }
+        let v = d.i64()?;
+        if v == 0 {
+            return Err(WireError::Malformed("explicit zero memory word"));
+        }
+        words[i] = v;
+        next = i + 1;
+    }
+    Ok(words)
 }
 
 /// Canonical, injective serialisation of a [`SemanticState`] — the
-/// *state key* the explorer dedups and byte-compares on. Injective by
-/// construction: every field is length-prefixed and decoded
-/// unambiguously, so [`decode_state`]∘`encode_state` is the identity
-/// (pinned by proptest), and distinct states can never share bytes.
+/// *state key* the explorer dedups and byte-compares on. Memory planes
+/// are stored sparsely (only nonzero words), which keeps the pickup
+/// head's keys to a few hundred bytes. Injective by construction: every field
+/// is length-prefixed and [`decode_state`] accepts only canonical
+/// bytes, so `decode_state ∘ encode_state` is the identity (pinned by
+/// proptest), and distinct states can never share bytes.
 pub fn encode_state(s: &SemanticState) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::with_capacity(512);
     e.u8(STATE_KEY_VERSION);
     enc_bitmap(&mut e, &s.control.active);
     enc_bitmap(&mut e, &s.control.conditions);
@@ -169,9 +225,9 @@ pub fn encode_state(s: &SemanticState) -> Vec<u8> {
     }
     e.i64(s.data.acc);
     e.i64(s.data.op);
-    enc_i64s(&mut e, &s.data.regs);
-    enc_i64s(&mut e, &s.data.iram);
-    enc_i64s(&mut e, &s.data.xram);
+    enc_plane(&mut e, &s.data.regs);
+    enc_plane(&mut e, &s.data.iram);
+    enc_plane(&mut e, &s.data.xram);
     e.buf
 }
 
@@ -179,8 +235,10 @@ pub fn encode_state(s: &SemanticState) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on an unknown version, truncation, or
-/// trailing bytes.
+/// Returns [`WireError`] on an unknown version, truncation, trailing
+/// bytes, or any non-canonical form: nonzero bitmap padding, a memory
+/// plane longer than [`MAX_PLANE_WORDS`], or a sparse word whose index
+/// is out of range or not ascending or whose value is zero.
 pub fn decode_state(bytes: &[u8]) -> Result<SemanticState, WireError> {
     let mut d = Dec::new(bytes);
     if d.u8()? != STATE_KEY_VERSION {
@@ -217,9 +275,9 @@ pub fn decode_state(bytes: &[u8]) -> Result<SemanticState, WireError> {
     }
     let acc = d.i64()?;
     let op = d.i64()?;
-    let regs = dec_i64s(&mut d)?;
-    let iram = dec_i64s(&mut d)?;
-    let xram = dec_i64s(&mut d)?;
+    let regs = dec_plane(&mut d)?;
+    let iram = dec_plane(&mut d)?;
+    let xram = dec_plane(&mut d)?;
     d.finish()?;
     Ok(SemanticState {
         control: ControlState { active, conditions, pending_internal, history },
@@ -389,9 +447,49 @@ fn trace_to(parents: &[(u32, u32)], alphabet: &[Vec<EventId>], mut idx: u32) -> 
         idx = parent;
     }
     rev.reverse();
-    rev.into_iter()
-        .map(|sym| alphabet[sym as usize].iter().map(|e| e.index() as u32).collect())
-        .collect()
+    rev.into_iter().map(|sym| symbol_trace(&alphabet[sym as usize])).collect()
+}
+
+fn symbol_trace(symbol: &[EventId]) -> Vec<u32> {
+    symbol.iter().map(|e| e.index() as u32).collect()
+}
+
+/// The trace of the edge `src --alphabet[sym]-->`: the BFS trace to
+/// `src` plus that symbol, minimal because `src`'s trace is.
+fn edge_trace(
+    parents: &[(u32, u32)],
+    alphabet: &[Vec<EventId>],
+    src: u32,
+    sym: usize,
+) -> Vec<Vec<u32>> {
+    let mut trace = trace_to(parents, alphabet, src);
+    trace.push(symbol_trace(&alphabet[sym]));
+    trace
+}
+
+/// A [`Predicate`] resolved to chart ids once per exploration.
+enum Watch {
+    Event(EventId),
+    State(StateId),
+}
+
+impl Watch {
+    /// `None` for a name the chart does not declare: such a predicate
+    /// is never violated.
+    fn resolve(chart: &pscp_statechart::Chart, p: &Predicate) -> Option<Watch> {
+        match p {
+            Predicate::EventNeverRaised(name) => chart.event_by_name(name).map(Watch::Event),
+            Predicate::StateNeverActive(name) => chart.state_by_name(name).map(Watch::State),
+        }
+    }
+
+    /// Whether an edge raising `raised` into `succ` violates the watch.
+    fn hit(&self, succ: &SemanticState, raised: &[EventId]) -> bool {
+        match *self {
+            Watch::Event(e) => raised.contains(&e),
+            Watch::State(s) => succ.control.active[s.index()],
+        }
+    }
 }
 
 /// The exploration input alphabet: the empty event set plus each
@@ -413,6 +511,9 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let chart = &system.chart;
     let alphabet = alphabet(system);
     let pool = SimPool::with_threads(opts.threads.max(1)).with_gang(opts.gang.max(1));
+    let mut workers = Vec::new();
+    let watches: Vec<Option<Watch>> =
+        opts.predicates.iter().map(|p| Watch::resolve(chart, p)).collect();
 
     let mut report = ExploreReport::default();
     let mut visited: HashMap<Vec<u8>, u32, BuildFnv> = HashMap::with_hasher(BuildFnv);
@@ -429,18 +530,13 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let root_key = encode_state(&root);
     visited.insert(root_key.clone(), 0);
     parents.push((0, 0));
-    for s in chart.state_ids() {
-        if root.control.active[s.index()] {
-            active_union[s.index()] = true;
-        }
+    for (u, &a) in active_union.iter_mut().zip(&root.control.active) {
+        *u |= a;
     }
-    for (pi, p) in opts.predicates.iter().enumerate() {
-        if let Predicate::StateNeverActive(name) = p {
-            if chart.state_by_name(name).is_some_and(|s| root.control.active[s.index()]) {
-                violated[pi] = true;
-                violations
-                    .push((pi, Witness { state_key: root_key.clone(), trace: Vec::new() }));
-            }
+    for (pi, w) in watches.iter().enumerate() {
+        if matches!(w, Some(Watch::State(s)) if root.control.active[s.index()]) {
+            violated[pi] = true;
+            violations.push((pi, Witness { state_key: root_key.clone(), trace: Vec::new() }));
         }
     }
 
@@ -456,29 +552,26 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
 
         // Flatten the layer into jobs: every frontier state × every
         // alphabet symbol, in order — the merge below consumes results
-        // in this exact order, which is what pins determinism.
-        let jobs: Vec<(SemanticState, Vec<EventId>)> = frontier
+        // in this exact order, which is what pins determinism. Jobs
+        // borrow the frontier; nothing is cloned per job.
+        let jobs: Vec<(&SemanticState, &[EventId])> = frontier
             .iter()
-            .flat_map(|(_, _, st)| alphabet.iter().map(move |sym| (st.clone(), sym.clone())))
+            .flat_map(|(_, _, st)| alphabet.iter().map(move |sym| (st, sym.as_slice())))
             .collect();
-        let results = pool.expand_states(system, &jobs);
+        let mut results = pool.expand_states(system, &jobs, &mut workers).into_iter();
 
         let mut next: Vec<(u32, Vec<u8>, SemanticState)> = Vec::new();
-        for (f, (src_idx, src_key, _)) in frontier.iter().enumerate() {
+        for (src_idx, src_key, _) in &frontier {
+            let src_idx = *src_idx;
             let mut all_self = true;
-            for (si, result) in
-                results[f * alphabet.len()..(f + 1) * alphabet.len()].iter().enumerate()
-            {
+            for (si, result) in results.by_ref().take(alphabet.len()).enumerate() {
                 report.edges += 1;
                 let (succ, cycle) = match result {
                     Ok(ok) => ok,
                     Err(e) => {
                         all_self = false;
                         if (report.faults.len() as u32) < opts.max_witnesses {
-                            let mut trace = trace_to(&parents, &alphabet, *src_idx);
-                            trace.push(
-                                alphabet[si].iter().map(|ev| ev.index() as u32).collect(),
-                            );
+                            let trace = edge_trace(&parents, &alphabet, src_idx, si);
                             report.faults.push((
                                 e.to_string(),
                                 Witness { state_key: src_key.clone(), trace },
@@ -490,73 +583,38 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
                 for &t in &cycle.fired {
                     fired_union[t.index()] = true;
                 }
-                let key = encode_state(succ);
+                let key = encode_state(&succ);
                 if key != *src_key {
                     all_self = false;
                 }
-                let succ_idx = match visited.get(&key) {
-                    Some(&idx) => {
-                        report.dedup_hits += 1;
-                        Some(idx)
-                    }
-                    None if (visited.len() as u64) < opts.max_states.max(1) => {
-                        let idx = visited.len() as u32;
-                        visited.insert(key.clone(), idx);
-                        parents.push((*src_idx, si as u32));
-                        for s in chart.state_ids() {
-                            if succ.control.active[s.index()] {
-                                active_union[s.index()] = true;
-                            }
-                        }
-                        next.push((idx, key.clone(), succ.clone()));
-                        Some(idx)
-                    }
-                    None => {
-                        report.truncated = true;
-                        None
-                    }
-                };
                 // Predicates see every edge, including ones into
                 // truncated or already-visited states.
-                for (pi, p) in opts.predicates.iter().enumerate() {
-                    if violated[pi] {
-                        continue;
-                    }
-                    let hit = match p {
-                        Predicate::EventNeverRaised(name) => chart
-                            .event_by_name(name)
-                            .is_some_and(|e| cycle.raised.contains(&e)),
-                        Predicate::StateNeverActive(name) => chart
-                            .state_by_name(name)
-                            .is_some_and(|s| succ.control.active[s.index()]),
-                    };
-                    if hit {
+                for (pi, w) in watches.iter().enumerate() {
+                    if !violated[pi] && w.as_ref().is_some_and(|w| w.hit(&succ, &cycle.raised)) {
                         violated[pi] = true;
-                        let trace = match succ_idx {
-                            Some(idx) if idx as usize == parents.len() - 1 => {
-                                trace_to(&parents, &alphabet, idx)
-                            }
-                            _ => {
-                                // Edge into an old or truncated state:
-                                // the minimal trace is via this edge.
-                                let mut t = trace_to(&parents, &alphabet, *src_idx);
-                                t.push(
-                                    alphabet[si]
-                                        .iter()
-                                        .map(|ev| ev.index() as u32)
-                                        .collect(),
-                                );
-                                t
-                            }
-                        };
+                        let trace = edge_trace(&parents, &alphabet, src_idx, si);
                         violations.push((pi, Witness { state_key: key.clone(), trace }));
                     }
+                }
+                let idx = visited.len() as u32;
+                match visited.entry(key) {
+                    Entry::Occupied(_) => report.dedup_hits += 1,
+                    Entry::Vacant(v) if u64::from(idx) < opts.max_states.max(1) => {
+                        let key = v.key().clone();
+                        v.insert(idx);
+                        parents.push((src_idx, si as u32));
+                        for (u, &a) in active_union.iter_mut().zip(&succ.control.active) {
+                            *u |= a;
+                        }
+                        next.push((idx, key, succ));
+                    }
+                    Entry::Vacant(_) => report.truncated = true,
                 }
             }
             if all_self && (report.deadlocks.len() as u32) < opts.max_witnesses {
                 report.deadlocks.push(Witness {
                     state_key: src_key.clone(),
-                    trace: trace_to(&parents, &alphabet, *src_idx),
+                    trace: trace_to(&parents, &alphabet, src_idx),
                 });
             }
         }
@@ -639,6 +697,92 @@ mod tests {
         let state = PscpMachine::new(&system).capture();
         let key = encode_state(&state);
         assert_eq!(decode_state(&key).unwrap(), state);
+    }
+
+    /// A valid key whose last plane (XRAM) section is replaced by
+    /// `xram`: the toggle chart's initial state with every plane
+    /// emptied, so XRAM is the trailing 8-byte `len, count` pair.
+    fn key_with_xram(xram: &[u8]) -> Vec<u8> {
+        let mut state = PscpMachine::new(&toggle_system()).capture();
+        state.data.regs.clear();
+        state.data.iram.clear();
+        state.data.xram.clear();
+        let mut key = encode_state(&state);
+        key.truncate(key.len() - 8);
+        key.extend_from_slice(xram);
+        key
+    }
+
+    /// A raw plane section: `len`, `count`, then the pairs.
+    fn plane(len: u32, count: u32, pairs: &[(u32, i64)]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u32(len);
+        e.u32(count);
+        for &(i, v) in pairs {
+            e.u32(i);
+            e.i64(v);
+        }
+        e.buf
+    }
+
+    fn rejection(key: &[u8]) -> String {
+        format!("{:?}", decode_state(key).expect_err("non-canonical key must be rejected"))
+    }
+
+    #[test]
+    fn canonical_sparse_plane_decodes() {
+        let state = decode_state(&key_with_xram(&plane(4, 2, &[(1, 7), (3, -1)]))).unwrap();
+        assert_eq!(state.data.xram, [0, 7, 0, -1]);
+    }
+
+    #[test]
+    fn decode_rejects_plane_above_cap() {
+        for len in [MAX_PLANE_WORDS + 1, u32::MAX] {
+            assert_eq!(
+                rejection(&key_with_xram(&plane(len, 0, &[]))),
+                format!("{:?}", WireError::TooLarge { len: u64::from(len), max: MAX_PLANE_WORDS })
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_index_out_of_range() {
+        assert!(rejection(&key_with_xram(&plane(4, 1, &[(4, 7)]))).contains("out of range"));
+    }
+
+    #[test]
+    fn decode_rejects_descending_indices() {
+        let key = key_with_xram(&plane(4, 2, &[(2, 7), (1, 7)]));
+        assert!(rejection(&key).contains("not ascending"));
+    }
+
+    #[test]
+    fn decode_rejects_repeated_index() {
+        let key = key_with_xram(&plane(4, 2, &[(2, 7), (2, 8)]));
+        assert!(rejection(&key).contains("not ascending"));
+    }
+
+    #[test]
+    fn decode_rejects_explicit_zero_word() {
+        let key = key_with_xram(&plane(4, 1, &[(1, 0)]));
+        assert!(rejection(&key).contains("explicit zero"));
+    }
+
+    #[test]
+    fn decode_rejects_count_beyond_payload() {
+        let key = key_with_xram(&plane(4, u32::MAX, &[(1, 7)]));
+        assert_eq!(rejection(&key), format!("{:?}", WireError::Truncated));
+    }
+
+    #[test]
+    fn decode_rejects_nonzero_bitmap_padding() {
+        let mut key = key_with_xram(&plane(0, 0, &[]));
+        // The active bitmap follows the version byte: a u32 length,
+        // then its bytes; the toggle chart has three states, so bits
+        // 3..8 of the first byte are padding.
+        assert_eq!(key[1..5], 3u32.to_le_bytes());
+        key[5] |= 1 << 7;
+        assert!(rejection(&key).contains("padding"));
     }
 
     #[test]

@@ -38,9 +38,13 @@ use crate::compile::CompiledSystem;
 use crate::machine::{
     CycleReport, Environment, MachineError, NullEnvironment, PscpMachine, SemanticState,
 };
-use crate::pool::{BatchOptions, BatchOutcome};
+use crate::pool::{BatchOptions, BatchOutcome, ExpandResult};
 use pscp_statechart::EventId;
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
+
+/// One exploration job: a captured state and the external events to
+/// inject on its next cycle, both borrowed from the explorer.
+pub(crate) type ExpandJob<'a> = (&'a SemanticState, &'a [EventId]);
 
 /// A reusable gang of scalar machines with a shared bit-sliced SLA.
 /// Build once per worker, feed it successive job chunks via
@@ -238,8 +242,8 @@ impl<'s> GangRig<'s> {
     /// same any-enable ⟺ any-fire routing the scripted path uses.
     pub(crate) fn expand(
         &mut self,
-        jobs: &[(SemanticState, Vec<EventId>)],
-    ) -> Vec<Result<(SemanticState, CycleReport), MachineError>> {
+        jobs: &[ExpandJob<'_>],
+    ) -> Vec<ExpandResult> {
         assert!(jobs.len() <= GANG_WIDTH, "at most {GANG_WIDTH} lanes per gang");
         let n = jobs.len();
         while self.machines.len() < n {
@@ -255,7 +259,7 @@ impl<'s> GangRig<'s> {
         // Restore + inject every lane, then build the lane words from
         // scratch (restored configurations invalidate any state columns
         // a previous call left behind).
-        for (l, (state, events)) in jobs.iter().enumerate() {
+        for (l, &(state, events)) in jobs.iter().enumerate() {
             let lane_bit = 1u64 << l;
             let m = &mut self.machines[l];
             m.restore(state);

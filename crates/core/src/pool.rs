@@ -24,13 +24,12 @@
 //! the differential oracle.
 
 use crate::compile::CompiledSystem;
-use crate::gang::GangRig;
+use crate::gang::{ExpandJob, GangRig};
 use crate::machine::{
     CycleReport, Environment, MachineError, MachineStats, NullEnvironment, PscpMachine,
     SemanticState,
 };
 use pscp_sla::gang::GANG_WIDTH;
-use pscp_statechart::EventId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -385,90 +384,45 @@ impl SimPool {
     }
 
     /// Expands state-exploration jobs — `(captured state, injected
-    /// events)` pairs, each one configuration cycle — across the pool,
-    /// returning `(successor, report)` per job in job order. The
-    /// scalar path (`gang <= 1`) restores and steps one
-    /// [`PscpMachine`] per worker (the differential oracle); wider
-    /// gangs chunk jobs into [`GangRig::expand`] batches that share one
-    /// bit-sliced SLA pass. Byte-identical for any worker count and
-    /// gang width — each job is independent of its lane-mates, and the
-    /// explore differential suite pins the whole grid.
-    pub(crate) fn expand_states(
+    /// events)` pairs borrowed from the caller, each one configuration
+    /// cycle — across the pool, returning `(successor, report)` per job
+    /// in job order. Jobs are cut into fixed-width chunks (one job on
+    /// the scalar path, `gang` jobs otherwise; independent of the worker
+    /// count, so chunk composition is pinned by the job list alone) and
+    /// each chunk runs on one [`Expander`]. Byte-identical for any
+    /// worker count and gang width — each job is independent of its
+    /// lane-mates, and the explore differential suite pins the whole
+    /// grid.
+    ///
+    /// `workers` holds the per-worker expanders across calls, so a
+    /// multi-layer exploration builds its machines once; it grows to
+    /// the worker count on demand.
+    pub(crate) fn expand_states<'s>(
         &self,
-        system: &CompiledSystem,
-        jobs: &[(SemanticState, Vec<EventId>)],
-    ) -> Vec<Result<(SemanticState, CycleReport), MachineError>> {
-        type JobResult = Result<(SemanticState, CycleReport), MachineError>;
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        if self.gang <= 1 {
-            let threads = self.threads.min(jobs.len());
-            if threads <= 1 {
-                let mut machine = PscpMachine::new(system);
-                return jobs
-                    .iter()
-                    .map(|(state, events)| {
-                        machine.restore(state);
-                        machine
-                            .step_injected(events, &mut NullEnvironment)
-                            .map(|report| (machine.capture(), report))
-                    })
-                    .collect();
-            }
-            let queue = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<JobResult>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for w in 0..threads {
-                    let queue = &queue;
-                    let slots = &slots;
-                    s.spawn(move || {
-                        if pscp_obs::trace_enabled() {
-                            pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                        }
-                        let worker_span = pscp_obs::trace::span("worker.run");
-                        let mut machine = PscpMachine::new(system);
-                        loop {
-                            let i = queue.fetch_add(1, Ordering::Relaxed);
-                            let Some((state, events)) = jobs.get(i) else {
-                                pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                                break;
-                            };
-                            machine.restore(state);
-                            let r = machine
-                                .step_injected(events, &mut NullEnvironment)
-                                .map(|report| (machine.capture(), report));
-                            *slots[i].lock().unwrap() = Some(r);
-                        }
-                        drop(worker_span);
-                        pscp_obs::trace::flush_current_thread();
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-                .collect();
-        }
-
-        // Gang path: fixed-width chunks in job order (width independent
-        // of the worker count, so chunk composition is pinned by the
-        // job list alone).
-        let bounds: Vec<(usize, usize)> = (0..jobs.len())
-            .step_by(self.gang)
-            .map(|a| (a, (a + self.gang).min(jobs.len())))
-            .collect();
+        system: &'s CompiledSystem,
+        jobs: &[ExpandJob<'_>],
+        workers: &mut Vec<Expander<'s>>,
+    ) -> Vec<ExpandResult> {
+        let width = self.gang.max(1);
+        let bounds: Vec<(usize, usize)> =
+            (0..jobs.len()).step_by(width).map(|a| (a, (a + width).min(jobs.len()))).collect();
         let threads = self.threads.min(bounds.len());
+        while workers.len() < threads.max(1) {
+            workers.push(if self.gang <= 1 {
+                Expander::Scalar(Box::new(PscpMachine::new(system)))
+            } else {
+                Expander::Gang(Box::new(GangRig::new(system)))
+            });
+        }
         if threads <= 1 {
-            let mut rig = GangRig::new(system);
-            return bounds.iter().flat_map(|&(a, b)| rig.expand(&jobs[a..b])).collect();
+            let worker = &mut workers[0];
+            return bounds.iter().flat_map(|&(a, b)| worker.expand(&jobs[a..b])).collect();
         }
         let queue = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<JobResult>>>> =
+        let slots: Vec<Mutex<Option<Vec<ExpandResult>>>> =
             bounds.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
-            for w in 0..threads {
+            for (w, worker) in workers[..threads].iter_mut().enumerate() {
                 let queue = &queue;
                 let slots = &slots;
                 let bounds = &bounds;
@@ -477,14 +431,13 @@ impl SimPool {
                         pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
                     }
                     let worker_span = pscp_obs::trace::span("worker.run");
-                    let mut rig = GangRig::new(system);
                     loop {
                         let i = queue.fetch_add(1, Ordering::Relaxed);
                         let Some(&(a, b)) = bounds.get(i) else {
                             pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
                             break;
                         };
-                        *slots[i].lock().unwrap() = Some(rig.expand(&jobs[a..b]));
+                        *slots[i].lock().unwrap() = Some(worker.expand(&jobs[a..b]));
                     }
                     drop(worker_span);
                     pscp_obs::trace::flush_current_thread();
@@ -495,6 +448,38 @@ impl SimPool {
             .into_iter()
             .flat_map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
             .collect()
+    }
+}
+
+/// One exploration job's outcome: the successor state and the cycle's
+/// report, or the routine fault it hit.
+pub(crate) type ExpandResult = Result<(SemanticState, CycleReport), MachineError>;
+
+/// One worker's exploration machinery, reused across
+/// [`SimPool::expand_states`] calls.
+pub(crate) enum Expander<'s> {
+    /// Restores and steps one [`PscpMachine`] per job — the
+    /// differential oracle.
+    Scalar(Box<PscpMachine<'s>>),
+    /// Expands up to a gang width of jobs per [`GangRig::expand`] pass,
+    /// sharing one bit-sliced SLA evaluation.
+    Gang(Box<GangRig<'s>>),
+}
+
+impl Expander<'_> {
+    fn expand(&mut self, jobs: &[ExpandJob<'_>]) -> Vec<ExpandResult> {
+        match self {
+            Expander::Scalar(machine) => jobs
+                .iter()
+                .map(|&(state, events)| {
+                    machine.restore(state);
+                    machine
+                        .step_injected(events, &mut NullEnvironment)
+                        .map(|report| (machine.capture(), report))
+                })
+                .collect(),
+            Expander::Gang(rig) => rig.expand(jobs),
+        }
     }
 }
 

@@ -582,6 +582,9 @@ impl Enc {
     pub(crate) fn new() -> Self {
         Enc { buf: Vec::new() }
     }
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Enc { buf: Vec::with_capacity(n) }
+    }
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

@@ -11,7 +11,9 @@
 //! timer armed by a port write, expiry raising a chart event) so the
 //! state key exercises every field: configuration bitmaps, chart
 //! conditions, armed-timer countdowns, pending timer events and TEP
-//! data storage.
+//! data storage. The pickup head — the paper's example, and what the
+//! benchmark explores — runs through the same grid, and pins that
+//! sparse state keys stay small on a real system.
 
 use proptest::prelude::*;
 use pscp_core::arch::{PscpArch, TimerSpec};
@@ -19,13 +21,14 @@ use pscp_core::compile::{compile_system, CompiledSystem};
 use pscp_core::explore::{
     alphabet, decode_state, encode_state, explore, replay, ExploreOptions, Predicate,
 };
+use pscp_core::optimize::hottest_scalar_globals;
 use pscp_core::machine::{NullEnvironment, PscpMachine, ScriptedEnvironment, SemanticState};
 use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_core::serve::wire::{encode_explore_report, WireOutcome};
 use pscp_statechart::semantics::ControlState;
 use pscp_statechart::{ChartBuilder, EventId, StateId, StateKind};
 use pscp_tep::codegen::CodegenOptions;
-use pscp_tep::TepDataState;
+use pscp_tep::{StorageClass, TepDataState};
 use std::collections::{HashSet, VecDeque};
 
 /// Timer reload port address (must match the `TLOAD` data port).
@@ -79,6 +82,21 @@ fn toggle_system() -> CompiledSystem {
         .unwrap()
 }
 
+/// The pickup head as the benchmark builds it: the hottest scalar
+/// globals promoted into the register file.
+fn pickup_head_system() -> CompiledSystem {
+    let arch = PscpArch::dual_md16(true);
+    let chart = pscp_motors::pickup_head_chart();
+    let env = pscp_core::compile::chart_env(&chart);
+    let ir = pscp_action_lang::compile_with_env(&pscp_motors::pickup_head_actions(), &env)
+        .unwrap();
+    let mut options = CodegenOptions::default();
+    for slot in hottest_scalar_globals(&ir, arch.tep.register_file as usize) {
+        options.global_promotions.insert(slot, StorageClass::Register);
+    }
+    pscp_core::compile::compile_system_from_ir(&chart, &ir, &arch, &options).unwrap()
+}
+
 fn opts(threads: usize, gang: usize) -> ExploreOptions {
     ExploreOptions {
         threads,
@@ -107,6 +125,39 @@ fn explore_grid_matches_scalar_oracle() {
                 got, oracle,
                 "gang={gang} workers={workers} diverged from scalar oracle"
             );
+        }
+    }
+}
+
+#[test]
+fn pickup_head_grid_matches_scalar_oracle() {
+    let sys = pickup_head_system();
+    let pickup_opts = |threads, gang| ExploreOptions {
+        threads,
+        gang,
+        predicates: vec![
+            Predicate::StateNeverActive("ErrState".into()),
+            Predicate::EventNeverRaised("BUF_READY".into()),
+            // Single-event inputs never deliver a move command.
+            Predicate::StateNeverActive("MoveX".into()),
+            // An unknown name is never violated.
+            Predicate::EventNeverRaised("NO_SUCH_EVENT".into()),
+        ],
+        ..ExploreOptions::default()
+    };
+    let report = explore(&sys, &pickup_opts(1, 1));
+    assert!(!report.truncated);
+    assert_eq!((report.states, report.edges), (234, 3042));
+    let violated: Vec<&str> = report.violations.iter().map(|v| v.predicate.name()).collect();
+    assert_eq!(violated, ["ErrState", "BUF_READY"]);
+    for v in &report.violations {
+        assert_eq!(replay(&sys, &v.witness.trace).unwrap(), v.witness.state_key);
+    }
+    let oracle = encode_explore_report(&report);
+    for gang in [1usize, 8, 64] {
+        for workers in [1usize, 4] {
+            let got = encode_explore_report(&explore(&sys, &pickup_opts(workers, gang)));
+            assert_eq!(got, oracle, "pickup head: gang={gang} workers={workers} diverged");
         }
     }
 }
@@ -208,8 +259,14 @@ fn violation_witnesses_are_minimal_length() {
 
 /// Independent worklist enumeration sharing no code with the explorer:
 /// a plain `HashSet` of canonical keys, one scalar machine, one
-/// restore-inject-step per edge.
+/// restore-inject-step per edge. Returns `(states, edges)`.
 fn brute_force(system: &CompiledSystem) -> (u64, u64) {
+    let (seen, edges) = enumerate_keys(system);
+    (seen.len() as u64, edges)
+}
+
+/// Every reachable state key, plus the number of edges expanded.
+fn enumerate_keys(system: &CompiledSystem) -> (HashSet<Vec<u8>>, u64) {
     let alpha = alphabet(system);
     let mut machine = PscpMachine::new(system);
     let root = machine.capture();
@@ -231,7 +288,7 @@ fn brute_force(system: &CompiledSystem) -> (u64, u64) {
             }
         }
     }
-    (seen.len() as u64, edges)
+    (seen, edges)
 }
 
 #[test]
@@ -249,6 +306,18 @@ fn exhaustive_count_matches_brute_force_enumeration() {
         // alphabet, so the edge/state ratio is the alphabet size.
         assert_eq!(report.edges, states * alphabet(&sys).len() as u64);
     }
+}
+
+/// State keys store memory sparsely: every reachable pickup-head key is
+/// under 1 KiB, though its IRAM, XRAM and registers hold 1,296 words
+/// (a dense key is 10,526 bytes).
+#[test]
+fn pickup_head_keys_are_compact() {
+    let sys = pickup_head_system();
+    let (keys, edges) = enumerate_keys(&sys);
+    assert_eq!((keys.len(), edges), (234, 3042));
+    let longest = keys.iter().map(Vec::len).max().unwrap();
+    assert!(longest < 1024, "longest pickup-head state key is {longest} bytes");
 }
 
 // ---------------------------------------------------------------------
@@ -288,6 +357,24 @@ fn exploration_leaves_scripted_runs_bit_identical() {
 // ---------------------------------------------------------------------
 
 fn arb_state() -> impl Strategy<Value = SemanticState> {
+    arb_state_with(|| proptest::collection::vec(any::<i64>(), 0..5))
+}
+
+/// Memory planes as a chart leaves them: up to 1024 words, about 90 %
+/// zeros, so the sparse encoding sees long zero runs, isolated nonzero
+/// words and trailing zeros.
+fn sparse_words() -> impl Strategy<Value = Vec<i64>> {
+    let word = (0u8..10, any::<i64>()).prop_map(|(d, v)| if d == 0 { v } else { 0 });
+    proptest::collection::vec(word, 0..=1024)
+}
+
+fn arb_sparse_state() -> impl Strategy<Value = SemanticState> {
+    arb_state_with(sparse_words)
+}
+
+fn arb_state_with<W: Strategy<Value = Vec<i64>>>(
+    words: impl Fn() -> W,
+) -> impl Strategy<Value = SemanticState> {
     let bitmap = || proptest::collection::vec(any::<bool>(), 0..12);
     let events = || {
         proptest::collection::vec((0usize..8).prop_map(EventId::from_index), 0..4)
@@ -300,11 +387,10 @@ fn arb_state() -> impl Strategy<Value = SemanticState> {
         prop_oneof![Just(None), (0usize..9).prop_map(|i| Some(StateId::from_index(i)))],
         0..3,
     );
-    let i64s = || proptest::collection::vec(any::<i64>(), 0..5);
     (
         (bitmap(), bitmap(), events(), history),
         (timers, events()),
-        (any::<i64>(), any::<i64>(), i64s(), i64s(), i64s()),
+        (any::<i64>(), any::<i64>(), words(), words(), words()),
     )
         .prop_map(
             |(
@@ -373,6 +459,54 @@ proptest! {
             let state = machine.capture();
             let key = encode_state(&state);
             prop_assert_eq!(decode_state(&key).unwrap(), state);
+        }
+    }
+
+    /// The round-trip property over mostly-zero memory planes.
+    #[test]
+    fn sparse_state_key_round_trips(state in arb_sparse_state()) {
+        let key = encode_state(&state);
+        prop_assert_eq!(decode_state(&key).unwrap(), state);
+    }
+
+    /// Injectivity over mostly-zero planes, on pairs that differ in at
+    /// most one word or one trailing zero — two independent draws are
+    /// never close enough to test the sparse layout.
+    #[test]
+    fn sparse_near_states_never_collide(
+        a in arb_sparse_state(),
+        plane in 0usize..3,
+        at in any::<usize>(),
+        value in prop_oneof![Just(0i64), Just(1i64), any::<i64>()],
+        grow in any::<bool>(),
+    ) {
+        let mut b = a.clone();
+        let words = match plane {
+            0 => &mut b.data.regs,
+            1 => &mut b.data.iram,
+            _ => &mut b.data.xram,
+        };
+        if grow || words.is_empty() {
+            words.push(0);
+        } else {
+            let i = at % words.len();
+            words[i] = value;
+        }
+        prop_assert_eq!(encode_state(&a) == encode_state(&b), a == b);
+    }
+
+    /// The single-bit corruption property over mostly-zero planes.
+    #[test]
+    fn corrupt_sparse_state_key_never_decodes_to_the_original(
+        state in arb_sparse_state(),
+        flip_at in any::<usize>(),
+        flip_bit in 0u8..8,
+    ) {
+        let mut key = encode_state(&state);
+        let i = flip_at % key.len();
+        key[i] ^= 1 << flip_bit;
+        if let Ok(decoded) = decode_state(&key) {
+            prop_assert_ne!(decoded, state);
         }
     }
 }
