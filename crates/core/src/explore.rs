@@ -49,51 +49,12 @@ use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+
+pub use crate::fnv::{BuildFnv, FnvHasher};
 
 /// Version prefix of the canonical state encoding; bumped when the
 /// layout changes.
 pub const STATE_KEY_VERSION: u8 = 2;
-
-// --- FNV dedup hashing -------------------------------------------------------
-
-const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a streaming hasher — the dedup table's hash function.
-/// Deterministic (no per-process seed), dependency-free, and byte-fair
-/// over the canonical state encoding.
-#[derive(Debug, Clone)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(FNV64_BASIS)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
-/// [`BuildHasher`] for the FNV dedup table.
-#[derive(Debug, Clone, Default)]
-pub struct BuildFnv;
-
-impl BuildHasher for BuildFnv {
-    type Hasher = FnvHasher;
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
 
 // --- Canonical state encoding ------------------------------------------------
 
@@ -511,7 +472,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let chart = &system.chart;
     let alphabet = alphabet(system);
     let pool = SimPool::with_threads(opts.threads.max(1)).with_gang(opts.gang.max(1));
-    let mut workers = Vec::new();
+    let mut engines = Vec::new();
     let watches: Vec<Option<Watch>> =
         opts.predicates.iter().map(|p| Watch::resolve(chart, p)).collect();
 
@@ -558,7 +519,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
             .iter()
             .flat_map(|(_, _, st)| alphabet.iter().map(move |sym| (st, sym.as_slice())))
             .collect();
-        let mut results = pool.expand_states(system, &jobs, &mut workers).into_iter();
+        let mut results = pool.expand_states(system, &jobs, &mut engines).into_iter();
 
         let mut next: Vec<(u32, Vec<u8>, SemanticState)> = Vec::new();
         for (src_idx, src_key, _) in &frontier {

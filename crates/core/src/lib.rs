@@ -52,6 +52,7 @@ pub mod area;
 pub mod compile;
 pub mod diag;
 pub mod explore;
+mod fnv;
 pub mod gang;
 pub mod library;
 pub mod machine;

@@ -14,6 +14,7 @@
 //! version-mismatched file degrades to a cold start, never an error,
 //! and saving is best-effort (write to a temp file, then rename).
 
+use crate::fnv::fnv1a64;
 use crate::timing::TimingReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -173,17 +174,6 @@ pub fn default_memo_path() -> PathBuf {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`, mixed with `seed` so two independent
-/// passes give independent halves of a wider key.
-fn stable_hash64(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Stable 128-bit hex key over a sequence of serialised parts. Parts
 /// are length-prefixed so `["ab", "c"]` and `["a", "bc"]` differ.
 pub fn stable_key(parts: &[&str]) -> String {
@@ -192,7 +182,7 @@ pub fn stable_key(parts: &[&str]) -> String {
         buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
         buf.extend_from_slice(p.as_bytes());
     }
-    format!("{:016x}{:016x}", stable_hash64(&buf, 0), stable_hash64(&buf, 1))
+    format!("{:016x}{:016x}", fnv1a64(&buf, 0), fnv1a64(&buf, 1))
 }
 
 /// Hash of the per-run-constant evaluation inputs: chart, action IR,

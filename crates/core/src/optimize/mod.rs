@@ -60,6 +60,7 @@ use crate::compile::{
     compile_system_from_ir, compile_system_with, CompiledSystem, SystemArtifacts, SystemError,
 };
 use crate::library::Component;
+use crate::pool::run_workers;
 use crate::timing::{
     transition_costs, validate_timing_full, wcet_report, wcet_report_incremental,
     EventCycle, TimingEval, TimingGraph, TimingOptions, TimingReport,
@@ -217,7 +218,9 @@ pub fn optimize(
     options: &OptimizeOptions,
 ) -> Result<OptimizationResult, SystemError> {
     let _opt_span = pscp_obs::trace::span("optimize");
-    let threads = options.threads.unwrap_or_else(crate::pool::configured_threads).max(1);
+    let threads = options.threads.unwrap_or_else(crate::pool::configured_threads);
+    // Candidate evaluation carries no per-worker state.
+    let mut workers = vec![(); threads.max(1)];
     let mut arch = start.clone();
     let mut codegen = CodegenOptions::default();
 
@@ -349,7 +352,8 @@ pub fn optimize(
             .collect();
         pscp_obs::metrics::OPT_CANDIDATES.add(staged.len() as u64);
         pscp_obs::metrics::OPT_STEP_CANDIDATES.record(staged.len() as u64);
-        let mut evals = crate::pool::run_indexed(&staged, threads, |_, (_, a, c)| {
+        let jobs = staged.iter().collect();
+        let mut evals = run_workers("worker", &mut workers, jobs, |_, _, (_, a, c)| {
             evaluate(a, c, &base_eval, &system, &base_wcet)
         });
 
@@ -439,7 +443,8 @@ pub fn optimize(
                     (i, cand)
                 })
                 .collect();
-            let evals = crate::pool::run_indexed(&staged, threads, |_, (_, cand)| {
+            let jobs = staged.iter().collect();
+            let evals = run_workers("worker", &mut workers, jobs, |_, _, (_, cand)| {
                 evaluate(cand, &codegen, &base_eval, &system, &base_wcet)
             });
             // Scan in fixed order for the first removal that keeps the

@@ -14,14 +14,15 @@
 //! environment), so the batch output is byte-identical for any worker
 //! count — `PSCP_THREADS=1` and `PSCP_THREADS=16` produce the same
 //! bytes, only wall-clock differs. The same worker-queue primitive
-//! ([`run_indexed`]) backs the parallel candidate evaluation in
-//! [`optimize`](crate::optimize::optimize).
+//! ([`run_workers`]) backs state expansion for
+//! [`explore`](crate::explore::explore) and the parallel candidate
+//! evaluation in [`optimize`](crate::optimize::optimize).
 //!
-//! On top of the thread pool, each worker packs up to `PSCP_GANG`
-//! scenarios (default 64) into one bit-sliced gang ([`crate::gang`])
-//! whose SLA/CR plane evaluates word-parallel — also byte-identical,
-//! for any gang width. `PSCP_GANG=1` keeps the scalar loop verbatim as
-//! the differential oracle.
+//! On top of the thread pool, each worker's [`Engine`] packs up to
+//! `PSCP_GANG` scenarios (default 64) into one bit-sliced gang
+//! ([`crate::gang`]) whose SLA/CR plane evaluates word-parallel — also
+//! byte-identical, for any gang width. `PSCP_GANG=1` keeps the scalar
+//! loop verbatim as the differential oracle.
 
 use crate::compile::CompiledSystem;
 use crate::gang::{ExpandJob, GangRig};
@@ -30,7 +31,6 @@ use crate::machine::{
     SemanticState,
 };
 use pscp_sla::gang::GANG_WIDTH;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -83,51 +83,66 @@ pub fn configured_gang() -> usize {
     gang_from(std::env::var("PSCP_GANG").ok().as_deref())
 }
 
-/// Runs `f` over every job index on up to `threads` scoped workers
-/// pulling from a shared queue, returning results in job order. With
-/// `threads <= 1` (or a single job) no thread is spawned and the jobs
-/// run inline, so a one-worker pool is *exactly* the sequential loop.
-pub(crate) fn run_indexed<T, R, F>(jobs: &[T], threads: usize, f: F) -> Vec<R>
+/// Runs `f` over `jobs` on one scoped worker per entry of `states`
+/// (at most one per job), pulling from a shared queue, and returns the
+/// results in job order. Worker `w` owns `states[w]` for every job it
+/// takes and passes `w` on to `f` as its metrics slot. With one worker
+/// or at most one job nothing is spawned and the jobs run inline on
+/// `states[0]`, so a one-worker pool is *exactly* the sequential loop.
+/// `lane` names the workers' trace lanes.
+pub(crate) fn run_workers<S, T, R, F>(lane: &str, states: &mut [S], jobs: Vec<T>, f: F) -> Vec<R>
 where
-    T: Sync,
+    S: Send,
+    T: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(&mut S, usize, T) -> R + Sync,
 {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
+    let threads = states.len().min(jobs.len());
+    if threads <= 1 {
+        return jobs.into_iter().map(|job| f(&mut states[0], 0, job)).collect();
     }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     std::thread::scope(|s| {
-        for w in 0..threads.min(jobs.len()) {
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                if pscp_obs::trace_enabled() {
-                    pscp_obs::trace::set_thread_lane_indexed("worker", w);
-                }
-                // Lifetime span so every spawned worker shows up in the
-                // trace, even one the queue starved (free when off).
-                let worker_span = pscp_obs::trace::span("worker.run");
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let r = f(i, job);
-                    *slots[i].lock().unwrap() = Some(r);
-                }
-                // Flush before the closure returns: the scope join can
-                // complete before this thread's TLS destructors run, so
-                // an exit-time flush may land after the caller exports.
-                drop(worker_span);
-                pscp_obs::trace::flush_current_thread();
-            });
+        let workers: Vec<_> = states[..threads]
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| {
+                let (queue, f) = (&queue, &f);
+                s.spawn(move || {
+                    if pscp_obs::trace_enabled() {
+                        pscp_obs::trace::set_thread_lane_indexed(lane, w);
+                    }
+                    // Lifetime span so every spawned worker shows up in
+                    // the trace, even one the queue starved.
+                    let worker_span = pscp_obs::trace::span("worker.run");
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("job queue lock poisoned").next();
+                        let Some((i, job)) = next else {
+                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
+                            break;
+                        };
+                        done.push((i, f(state, w, job)));
+                    }
+                    // Flush before the closure returns: the scope join
+                    // can complete before this thread's TLS destructors
+                    // run, so an exit-time flush may land after the
+                    // caller exports.
+                    drop(worker_span);
+                    pscp_obs::trace::flush_current_thread();
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
         }
     });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
+    slots.into_iter().map(|r| r.expect("worker filled every slot")).collect()
 }
 
 /// Run limits for one scenario of a batch.
@@ -231,222 +246,54 @@ impl SimPool {
         E: Environment + Send,
         F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool + Sync,
     {
-        if envs.is_empty() {
-            return Vec::new();
-        }
-        if self.gang > 1 {
-            return self.run_batch_gang(system, envs, limits, &done);
-        }
-        let threads = self.threads.min(envs.len());
-        if threads <= 1 {
-            let mut machine = PscpMachine::new(system);
-            return envs
-                .into_iter()
-                .map(|env| run_scenario(0, &mut machine, env, limits, &done))
-                .collect();
-        }
-
-        let queue = AtomicUsize::new(0);
-        let feed: Vec<Mutex<Option<E>>> =
-            envs.into_iter().map(|e| Mutex::new(Some(e))).collect();
-        let slots: Vec<Mutex<Option<BatchOutcome<E>>>> =
-            feed.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let queue = &queue;
-                let feed = &feed;
-                let slots = &slots;
-                let done = &done;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    // Lifetime span so every spawned worker shows up in
-                    // the trace, even one the queue starved.
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    // One machine per worker, reset between scenarios.
-                    let mut machine = PscpMachine::new(system);
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = feed.get(i) else {
-                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                            break;
-                        };
-                        let env = slot.lock().unwrap().take().expect("scenario taken once");
-                        let outcome = run_scenario(w, &mut machine, env, limits, &done);
-                        *slots[i].lock().unwrap() = Some(outcome);
-                    }
-                    // Flush before the closure returns: the scope join
-                    // can complete before this thread's TLS destructors
-                    // run, so an exit-time flush may land after the
-                    // caller exports.
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
-    }
-
-    /// Gang-packed batch: scenarios are chunked into gangs of
-    /// `self.gang` in submission order and each chunk runs lock-step on
-    /// a [`GangRig`] (one rig per worker, reused across chunks).
-    /// Byte-identical to the scalar path for any gang width and worker
-    /// count — the gang differential suite pins this.
-    fn run_batch_gang<E, F>(
-        &self,
-        system: &CompiledSystem,
-        envs: Vec<E>,
-        limits: &BatchOptions,
-        done: &F,
-    ) -> Vec<BatchOutcome<E>>
-    where
-        E: Environment + Send,
-        F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool + Sync,
-    {
         // Shrink the gang width when the batch is too small to keep
         // every worker busy at the configured width: parallel workers
         // beat wide gangs until each worker has a full gang of its own.
         // Deterministic in (envs, threads), so outcomes stay pinned.
-        let gang = self
-            .gang
-            .min(envs.len().div_ceil(self.threads.max(1)))
-            .max(1);
-        let mut chunks: Vec<Vec<E>> = Vec::with_capacity(envs.len().div_ceil(gang));
-        let mut cur: Vec<E> = Vec::with_capacity(gang.min(envs.len()));
-        for env in envs {
-            cur.push(env);
-            if cur.len() == gang {
-                chunks.push(std::mem::take(&mut cur));
-            }
+        // The engine stays the configured one, so a shrunk gang still
+        // runs on a gang rig.
+        let width = self.gang.min(envs.len().div_ceil(self.threads)).max(1);
+        let mut envs = envs.into_iter().map(|env| (env, *limits)).peekable();
+        let mut chunks: Vec<Vec<(E, BatchOptions)>> = Vec::new();
+        while envs.peek().is_some() {
+            chunks.push(envs.by_ref().take(width).collect());
         }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-
-        let threads = self.threads.min(chunks.len());
-        if threads <= 1 {
-            let mut rig = GangRig::new(system);
-            let mut out = Vec::new();
-            for chunk in chunks {
-                let jobs: Vec<(E, BatchOptions)> =
-                    chunk.into_iter().map(|e| (e, *limits)).collect();
-                out.extend(rig.run(0, jobs, done));
-            }
-            return out;
-        }
-
-        let queue = AtomicUsize::new(0);
-        let feed: Vec<Mutex<Option<Vec<E>>>> =
-            chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let slots: Vec<Mutex<Option<Vec<BatchOutcome<E>>>>> =
-            feed.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let queue = &queue;
-                let feed = &feed;
-                let slots = &slots;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    // One gang rig per worker, lanes reset per chunk.
-                    let mut rig = GangRig::new(system);
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = feed.get(i) else {
-                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                            break;
-                        };
-                        let chunk =
-                            slot.lock().unwrap().take().expect("chunk taken once");
-                        let jobs: Vec<(E, BatchOptions)> =
-                            chunk.into_iter().map(|e| (e, *limits)).collect();
-                        *slots[i].lock().unwrap() = Some(rig.run(w, jobs, done));
-                    }
-                    // Flush before the closure returns: the scope join
-                    // can complete before this thread's TLS destructors
-                    // run, so an exit-time flush may land after the
-                    // caller exports.
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .flat_map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
+        let mut engines: Vec<Engine<'_>> =
+            (0..self.threads.min(chunks.len())).map(|_| Engine::new(system, self.gang)).collect();
+        run_workers("sim-worker", &mut engines, chunks, |engine, w, chunk| {
+            engine.run(w, chunk, &done)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Expands state-exploration jobs — `(captured state, injected
     /// events)` pairs borrowed from the caller, each one configuration
     /// cycle — across the pool, returning `(successor, report)` per job
-    /// in job order. Jobs are cut into fixed-width chunks (one job on
-    /// the scalar path, `gang` jobs otherwise; independent of the worker
-    /// count, so chunk composition is pinned by the job list alone) and
-    /// each chunk runs on one [`Expander`]. Byte-identical for any
-    /// worker count and gang width — each job is independent of its
-    /// lane-mates, and the explore differential suite pins the whole
-    /// grid.
+    /// in job order. Jobs are cut into fixed-width chunks of the gang
+    /// width (independent of the worker count, so chunk composition is
+    /// pinned by the job list alone) and each chunk runs on one
+    /// [`Engine`]. Byte-identical for any worker count and gang width —
+    /// each job is independent of its lane-mates, and the explore
+    /// differential suite pins the whole grid.
     ///
-    /// `workers` holds the per-worker expanders across calls, so a
+    /// `engines` holds the per-worker engines across calls, so a
     /// multi-layer exploration builds its machines once; it grows to
     /// the worker count on demand.
     pub(crate) fn expand_states<'s>(
         &self,
         system: &'s CompiledSystem,
         jobs: &[ExpandJob<'_>],
-        workers: &mut Vec<Expander<'s>>,
+        engines: &mut Vec<Engine<'s>>,
     ) -> Vec<ExpandResult> {
-        let width = self.gang.max(1);
-        let bounds: Vec<(usize, usize)> =
-            (0..jobs.len()).step_by(width).map(|a| (a, (a + width).min(jobs.len()))).collect();
-        let threads = self.threads.min(bounds.len());
-        while workers.len() < threads.max(1) {
-            workers.push(if self.gang <= 1 {
-                Expander::Scalar(Box::new(PscpMachine::new(system)))
-            } else {
-                Expander::Gang(Box::new(GangRig::new(system)))
-            });
+        let chunks: Vec<&[ExpandJob<'_>]> = jobs.chunks(self.gang).collect();
+        while engines.len() < self.threads.min(chunks.len()).max(1) {
+            engines.push(Engine::new(system, self.gang));
         }
-        if threads <= 1 {
-            let worker = &mut workers[0];
-            return bounds.iter().flat_map(|&(a, b)| worker.expand(&jobs[a..b])).collect();
-        }
-        let queue = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<ExpandResult>>>> =
-            bounds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for (w, worker) in workers[..threads].iter_mut().enumerate() {
-                let queue = &queue;
-                let slots = &slots;
-                let bounds = &bounds;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(a, b)) = bounds.get(i) else {
-                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                            break;
-                        };
-                        *slots[i].lock().unwrap() = Some(worker.expand(&jobs[a..b]));
-                    }
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
+        run_workers("sim-worker", engines, chunks, |engine, _, chunk| engine.expand(chunk))
             .into_iter()
-            .flat_map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
+            .flatten()
             .collect()
     }
 }
@@ -455,21 +302,55 @@ impl SimPool {
 /// report, or the routine fault it hit.
 pub(crate) type ExpandResult = Result<(SemanticState, CycleReport), MachineError>;
 
-/// One worker's exploration machinery, reused across
-/// [`SimPool::expand_states`] calls.
-pub(crate) enum Expander<'s> {
-    /// Restores and steps one [`PscpMachine`] per job — the
+/// One worker's simulation machinery, reused across batches and
+/// exploration layers. [`Engine::new`] is the one place that chooses
+/// between the scalar machine and the bit-sliced gang.
+pub(crate) enum Engine<'s> {
+    /// One [`PscpMachine`], one scenario or job at a time — the
     /// differential oracle.
     Scalar(Box<PscpMachine<'s>>),
-    /// Expands up to a gang width of jobs per [`GangRig::expand`] pass,
+    /// Up to a gang width of scenarios or jobs per [`GangRig`] pass,
     /// sharing one bit-sliced SLA evaluation.
     Gang(Box<GangRig<'s>>),
 }
 
-impl Expander<'_> {
-    fn expand(&mut self, jobs: &[ExpandJob<'_>]) -> Vec<ExpandResult> {
+impl<'s> Engine<'s> {
+    /// The engine for a configured gang width: scalar at width 1, a
+    /// gang rig otherwise.
+    pub(crate) fn new(system: &'s CompiledSystem, gang: usize) -> Self {
+        if gang <= 1 {
+            Engine::Scalar(Box::new(PscpMachine::new(system)))
+        } else {
+            Engine::Gang(Box::new(GangRig::new(system)))
+        }
+    }
+
+    /// Runs scenarios to their limits (see [`SimPool::run_batch_until`]),
+    /// one outcome per job in job order; `worker` is the metrics slot.
+    pub(crate) fn run<E, F>(
+        &mut self,
+        worker: usize,
+        jobs: Vec<(E, BatchOptions)>,
+        done: &F,
+    ) -> Vec<BatchOutcome<E>>
+    where
+        E: Environment,
+        F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool,
+    {
         match self {
-            Expander::Scalar(machine) => jobs
+            Engine::Scalar(machine) => jobs
+                .into_iter()
+                .map(|(env, limits)| run_scenario(worker, machine, env, &limits, done))
+                .collect(),
+            Engine::Gang(rig) => rig.run(worker, jobs, done),
+        }
+    }
+
+    /// Expands exploration jobs by one configuration cycle each (see
+    /// [`SimPool::expand_states`]), one result per job in job order.
+    pub(crate) fn expand(&mut self, jobs: &[ExpandJob<'_>]) -> Vec<ExpandResult> {
+        match self {
+            Engine::Scalar(machine) => jobs
                 .iter()
                 .map(|&(state, events)| {
                     machine.restore(state);
@@ -478,7 +359,7 @@ impl Expander<'_> {
                         .map(|report| (machine.capture(), report))
                 })
                 .collect(),
-            Expander::Gang(rig) => rig.expand(jobs),
+            Engine::Gang(rig) => rig.expand(jobs),
         }
     }
 }
@@ -489,11 +370,10 @@ impl Default for SimPool {
     }
 }
 
-/// Runs one scenario on a (dirty) machine after resetting it. Shared
-/// with the scenario server ([`crate::serve`]), whose shard workers
-/// must be byte-identical to an in-process [`SimPool`] run — both go
-/// through this one function.
-pub(crate) fn run_scenario<E, F>(
+/// Runs one scenario on a (dirty) machine after resetting it — the
+/// scalar [`Engine`]'s step loop, which the scenario server's shard
+/// workers share with every in-process [`SimPool`] run.
+fn run_scenario<E, F>(
     worker: usize,
     machine: &mut PscpMachine<'_>,
     mut env: E,
@@ -802,14 +682,23 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_preserves_order() {
-        let jobs: Vec<usize> = (0..37).collect();
-        for threads in [1, 3, 8] {
-            let out = run_indexed(&jobs, threads, |i, &j| {
-                assert_eq!(i, j);
-                j * 10
-            });
-            assert_eq!(out, (0..37).map(|j| j * 10).collect::<Vec<_>>());
+    fn run_workers_preserves_order_and_owns_states() {
+        for n_jobs in [37, 2] {
+            let jobs: Vec<usize> = (0..n_jobs).collect();
+            for threads in [1, 3, 8] {
+                // Each state counts the jobs its worker ran.
+                let mut states = vec![0usize; threads];
+                let out = run_workers("worker", &mut states, jobs.clone(), |n, w, j| {
+                    *n += 1;
+                    assert!(w < threads.min(n_jobs), "worker index within the pool");
+                    j * 10
+                });
+                let ctx = format!("threads={threads} jobs={n_jobs}");
+                assert_eq!(out, jobs.iter().map(|j| j * 10).collect::<Vec<_>>(), "{ctx}");
+                assert_eq!(states.iter().sum::<usize>(), n_jobs, "{ctx}");
+                let used = threads.min(n_jobs);
+                assert!(states[used..].iter().all(|&n| n == 0), "{ctx}: idle state touched");
+            }
         }
     }
 }

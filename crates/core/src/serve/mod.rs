@@ -36,8 +36,6 @@ pub use wire::{
 };
 
 use crate::compile::CompiledSystem;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -100,49 +98,10 @@ pub fn addr_from_env() -> String {
     std::env::var("PSCP_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7971".to_string())
 }
 
-/// 64-bit FNV-1a — companion to [`wire::fnv1a32`] for fingerprints.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A stable fingerprint of a compiled system, exchanged in the `Hello`
 /// handshake so a client can refuse to talk to a server built from a
 /// different design.
 pub fn system_fingerprint(system: &CompiledSystem) -> u64 {
     let json = serde_json::to_string(system).unwrap_or_default();
-    fnv1a64(json.as_bytes())
-}
-
-/// The per-process system table: every system compiled over the wire
-/// (and every system a server starts serving) registers here, keyed by
-/// its [`system_fingerprint`]. The `Diagnostics` reply hands the
-/// fingerprint back to the client, which can then pin it in a `Hello`
-/// or retrieve the compiled system in-process via [`lookup_system`].
-fn system_table() -> &'static Mutex<BTreeMap<u64, Arc<CompiledSystem>>> {
-    static TABLE: OnceLock<Mutex<BTreeMap<u64, Arc<CompiledSystem>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Registers a compiled system in the per-process table and returns
-/// its fingerprint. Registering the same system twice is idempotent
-/// (same fingerprint, same key).
-pub fn register_system(system: Arc<CompiledSystem>) -> u64 {
-    let fp = system_fingerprint(&system);
-    system_table().lock().unwrap().insert(fp, system);
-    fp
-}
-
-/// Looks up a registered compiled system by fingerprint.
-pub fn lookup_system(fingerprint: u64) -> Option<Arc<CompiledSystem>> {
-    system_table().lock().unwrap().get(&fingerprint).cloned()
-}
-
-/// Number of systems currently registered in the per-process table.
-pub fn registered_systems() -> usize {
-    system_table().lock().unwrap().len()
+    crate::fnv::fnv1a64(json.as_bytes(), 0)
 }

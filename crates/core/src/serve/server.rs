@@ -2,11 +2,10 @@
 //!
 //! One loaded [`CompiledSystem`], many concurrent client connections.
 //! Work is sharded across a persistent pool of scenario workers — one
-//! [`PscpMachine`] per worker, reused across scenarios via
-//! [`PscpMachine::reset`] exactly like a
-//! [`SimPool`](crate::pool::SimPool) worker. Every scenario runs
-//! through the same `run_scenario` function the in-process pool uses,
-//! which is what makes server round-trips byte-identical to
+//! [`Engine`] per worker, reused across scenarios exactly like a
+//! [`SimPool`](crate::pool::SimPool) worker's. Every scenario runs
+//! through the same engine code the in-process pool uses, which is
+//! what makes server round-trips byte-identical to
 //! `SimPool::run_batch` (the differential suite pins this).
 //!
 //! Per-connection flow control is credit-based: the handshake grants a
@@ -23,9 +22,8 @@ use super::wire::{
 };
 use super::ServeOptions;
 use crate::compile::CompiledSystem;
-use crate::gang::GangRig;
-use crate::machine::{PscpMachine, ScriptedEnvironment};
-use crate::pool::BatchOptions;
+use crate::machine::ScriptedEnvironment;
+use crate::pool::{BatchOptions, Engine};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -309,43 +307,20 @@ fn next_event(
     }
 }
 
-/// One scenario worker serving the shared queue. With `gang <= 1` it
-/// is the classic scalar shard: one persistent machine, one scenario
-/// at a time. With a wider gang it pops one job (blocking), then
-/// opportunistically drains up to `gang - 1` more without waiting and
-/// runs the chunk lock-step on a [`GangRig`] — scenarios from
-/// different connections can share a gang, since every lane carries
-/// its own environment and limits. Outcomes are byte-identical either
-/// way (the differential suite pins it), so gang packing is purely a
-/// throughput choice.
+/// One scenario worker serving the shared queue. It pops one job
+/// (blocking), then opportunistically drains up to `gang - 1` more
+/// without waiting and runs the chunk on its [`Engine`] — one
+/// persistent scalar machine at width 1, a lock-step gang rig
+/// otherwise. Scenarios from different connections can share a gang,
+/// since every lane carries its own environment and limits. Outcomes
+/// are byte-identical at every width (the differential suite pins
+/// it), so gang packing is purely a throughput choice.
 fn worker(w: usize, system: &CompiledSystem, shared: &Shared, gang: usize) {
     if pscp_obs::trace_enabled() {
         pscp_obs::trace::set_thread_lane_indexed("serve-worker", w);
     }
     let _worker_span = pscp_obs::trace::span("worker.run");
-    if gang <= 1 {
-        let mut machine = PscpMachine::new(system);
-        while let Some(job) = shared.pop() {
-            let dequeued = job.enqueued.map(|_| Instant::now());
-            let queue_ns = elapsed_ns(job.enqueued, dequeued);
-            let outcome =
-                crate::pool::run_scenario(w, &mut machine, job.env, &job.limits, &|_, _, _| false);
-            let sim_end = dequeued.map(|_| Instant::now());
-            let sim_ns = elapsed_ns(dequeued, sim_end);
-            let builder = OutcomeFrame::begin(job.seq, &WireOutcome::from_batch(&outcome));
-            let encode_ns = elapsed_ns(sim_end, sim_end.map(|_| Instant::now()));
-            if pscp_obs::metrics_enabled() {
-                pscp_obs::metrics::SERVE_QUEUE_NS.record(w, queue_ns);
-                pscp_obs::metrics::SERVE_SIM_NS.record(w, sim_ns);
-                pscp_obs::metrics::SERVE_ENCODE_NS.record(encode_ns);
-            }
-            let latency =
-                job.conn.latency.then_some(OutcomeLatency { queue_ns, sim_ns, encode_ns });
-            job.conn.push(Msg::Outcome(builder.finish(latency)));
-        }
-        return;
-    }
-    let mut rig = GangRig::new(system);
+    let mut engine = Engine::new(system, gang);
     let mut batch: Vec<Job> = Vec::with_capacity(gang);
     while let Some(job) = shared.pop() {
         batch.push(job);
@@ -358,10 +333,10 @@ fn worker(w: usize, system: &CompiledSystem, shared: &Shared, gang: usize) {
             routes.push((job.conn, job.seq, elapsed_ns(job.enqueued, dequeued)));
             jobs.push((job.env, job.limits));
         }
-        let outcomes = rig.run(w, jobs, &|_, _, _| false);
+        let outcomes = engine.run(w, jobs, &|_, _, _| false);
         let sim_end = dequeued.map(|_| Instant::now());
         // Gang lanes simulate lock-step, so every lane reports the
-        // rig's shared wall time — the honest decomposition of server
+        // chunk's shared wall time — the honest decomposition of server
         // residency for a ganged scenario.
         let sim_ns = elapsed_ns(dequeued, sim_end);
         if pscp_obs::metrics_enabled() {
@@ -435,10 +410,10 @@ fn writer(conn: &Conn, stream: &mut TcpStream) {
 }
 
 /// Compiles sources received in a `Compile` frame against the serving
-/// system's architecture and default codegen options. Successful
-/// compiles register in the per-process system table; the reply is
-/// always a `Diagnostics` frame (fingerprint 0 on failure) carrying
-/// the canonical span-sorted report.
+/// system's architecture and default codegen options. The reply is
+/// always a `Diagnostics` frame carrying the canonical span-sorted
+/// report and the compiled system's fingerprint (0 on failure); the
+/// system itself is dropped, so remote compiles hold no memory.
 fn handle_compile(system: &CompiledSystem, chart: &str, actions: &str) -> Frame {
     pscp_obs::metrics::SERVE_COMPILES.inc();
     let mut sink = pscp_diag::DiagnosticSink::new();
@@ -451,7 +426,7 @@ fn handle_compile(system: &CompiledSystem, chart: &str, actions: &str) -> Frame 
     );
     let diagnostics = sink.finish();
     let fingerprint = match compiled {
-        Some(sys) => super::register_system(Arc::new(sys)),
+        Some(sys) => super::system_fingerprint(&sys),
         None => {
             pscp_obs::metrics::SERVE_COMPILE_ERRORS.inc();
             0
@@ -505,22 +480,12 @@ fn handle_connection(
             pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
             if fp != 0 && fp != fingerprint {
                 pscp_obs::metrics::SERVE_ERRORS.inc();
-                // Routing hint: a fingerprint the client got from a
-                // Compile round may be registered in this process's
-                // system table even though this listener serves a
-                // different design — say which failure this is.
-                let known = super::lookup_system(fp).is_some();
-                let detail = if known {
-                    " (registered in this process's system table, but not served here)"
-                } else {
-                    ""
-                };
                 let _ = wire::write_frame(
                     &mut stream,
                     &Frame::Error {
                         code: error_code::SYSTEM_MISMATCH,
                         message: format!(
-                            "server system fingerprint {fingerprint:#018x}, client expected {fp:#018x}{detail}"
+                            "server system fingerprint {fingerprint:#018x}, client expected {fp:#018x}"
                         ),
                     },
                 );
@@ -626,7 +591,8 @@ fn handle_connection(
                 let snapshot = pscp_obs::metrics::snapshot();
                 let gauges = ServeGauges {
                     uptime_ns: stats.uptime_ns(),
-                    registered_systems: super::registered_systems() as u32,
+                    // The served system: remote compiles are not kept.
+                    registered_systems: 1,
                     live_connections: stats.live.load(Ordering::Acquire),
                     queue_depth: shared.depth() as u32,
                     workers: opts.threads.max(1) as u32,
@@ -708,10 +674,6 @@ pub fn serve(
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     let fingerprint = super::system_fingerprint(system);
-    // The served system is itself a registry entry, so a client that
-    // compiles identical sources gets the same fingerprint back and can
-    // pin it in its next Hello.
-    super::register_system(Arc::new(system.clone()));
     let shared = Shared::new();
     let stats = ServerStats::new(fingerprint);
     let threads = opts.threads.max(1);

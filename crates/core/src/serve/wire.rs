@@ -349,12 +349,11 @@ pub enum Frame {
     },
     /// The full compile report (server → client): every diagnostic
     /// from every layer, span-sorted and deduplicated, plus the
-    /// fingerprint of the freshly registered system when the compile
-    /// succeeded (0 on failure).
+    /// fingerprint of the compiled system when the compile succeeded
+    /// (0 on failure).
     Diagnostics {
         /// [`system_fingerprint`](super::system_fingerprint) of the
-        /// compiled system, now registered in the per-process system
-        /// table; 0 when the compile produced errors.
+        /// compiled system; 0 when the compile produced errors.
         fingerprint: u64,
         /// The canonical report ([`pscp_diag::DiagnosticSink::finish`]).
         diagnostics: Vec<Diagnostic>,
@@ -402,7 +401,8 @@ pub enum Frame {
 pub struct ServeGauges {
     /// Nanoseconds since the listener started.
     pub uptime_ns: u64,
-    /// Systems in the per-process compiled-system table.
+    /// Systems the server holds: always 1, the served system (remote
+    /// `Compile`s reply with a fingerprint and keep nothing).
     pub registered_systems: u32,
     /// Connections currently open.
     pub live_connections: u32,

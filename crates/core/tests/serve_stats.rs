@@ -255,3 +255,32 @@ fn stats_frames_cross_a_real_socket_intact() {
     drop(client);
     server.stop().unwrap();
 }
+
+#[test]
+fn remote_compiles_leave_the_system_gauge_at_one() {
+    // A remote Compile replies with a fingerprint and keeps nothing, so
+    // a flood of distinct compiles cannot grow the server's memory:
+    // the gauge keeps reporting the one served system.
+    let _g = lock();
+    let sys = Arc::new(tiny_system());
+    let server =
+        serve::spawn(Arc::clone(&sys), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = ScenarioClient::connect(server.addr()).unwrap();
+    let mut fingerprints = std::collections::BTreeSet::new();
+    for period in 100..108 {
+        let chart = format!(
+            "event TICK period {period};\n\
+             orstate Root {{ contains A, B; default A; }}\n\
+             basicstate A {{ transition {{ target B; label \"TICK\"; }} }}\n\
+             basicstate B {{ transition {{ target A; label \"TICK\"; }} }}\n"
+        );
+        let (fp, diagnostics) = client.compile(&chart, "").unwrap();
+        assert_ne!(fp, 0, "period {period}: {diagnostics:?}");
+        fingerprints.insert(fp);
+    }
+    assert_eq!(fingerprints.len(), 8, "every compile is a distinct system");
+    let (gauges, _) = client.stats().unwrap();
+    assert_eq!(gauges.registered_systems, 1);
+    drop(client);
+    server.stop().unwrap();
+}

@@ -375,8 +375,13 @@ mod tests {
             for i in 0..2 {
                 s.spawn(move || {
                     set_thread_lane_indexed("worker", i);
-                    let _s = span("job");
+                    let s = span("job");
                     std::thread::sleep(std::time::Duration::from_micros(50));
+                    // The scope join can complete before this thread's
+                    // TLS destructors run; flush so the assertion below
+                    // sees the lane.
+                    drop(s);
+                    flush_current_thread();
                 });
             }
         });
